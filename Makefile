@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test check certify-packs serve-smoke bench bench-fast bench-smoke bench-parallel bench-hashcons bench-egraph bench-serve bench-exec baseline trace-demo clean
+.PHONY: all build test check certify-packs serve-smoke bench bench-fast bench-smoke bench-parallel bench-hashcons bench-egraph bench-serve bench-exec perfbench baseline trace-demo clean
 
 all: build
 
@@ -66,6 +66,14 @@ bench-serve:
 # after `--exec` stops at 10^5.
 bench-exec:
 	dune exec bench/main.exe -- --exec
+
+# The end-to-end benchmark (perfbench/README.md): one untraced run of each
+# workload, OQL text to result at 10^4 employees, prepared compiled
+# execution at 10^5, and the in-process daemon (about two minutes).
+perfbench:
+	for w in oql_adhoc exec_prepared serve_search; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --trace 0 || exit 1; \
+	done
 
 # Regenerate the committed engine baseline at the repo root.
 baseline:

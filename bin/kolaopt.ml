@@ -108,7 +108,9 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print execution statistics (compile/run time, loop counters).")
+          ~doc:
+            "Print the rows plans were costed on and execution statistics \
+             (compile/run time, loop counters).")
   in
   let exec_stats =
     Arg.(
@@ -179,7 +181,11 @@ let run_cmd =
           Optimizer.Pipeline.execute ?backend:execute ?layout ~jobs ?coldb ~db
             report
         in
-        if stats then Fmt.pr "stats: %a@." Kola_exec.Exec.pp_stats st;
+        if stats then begin
+          Fmt.pr "%a@." Optimizer.Pipeline.pp_costed_on
+            report.Optimizer.Pipeline.costed_on;
+          Fmt.pr "stats: %a@." Kola_exec.Exec.pp_stats st
+        end;
         if verify then begin
           let compiled, cst =
             Optimizer.Pipeline.execute ~backend:Kola_exec.Exec.Compiled ?layout

@@ -56,6 +56,88 @@ let measure_exec ?(backend = Kola_exec.Exec.Compiled) ?(dedup = Eval.Eager)
   (v, of_exec_stats s, s)
 
 (* ------------------------------------------------------------------ *)
+(* The costing sample.
+
+   Plan choice compares candidates by their counters, and a fused plan's
+   counters follow from its structure more than from the size of the data,
+   so a uniformly scaled-down store ranks candidates the way the whole
+   store does, at a cost that stays flat as the store grows.  Every
+   memoized entry point below evaluates on [sample db]; the caches stay
+   keyed on the source [db], so rebuilding a sample never flushes them.
+
+   When the largest extent has n > [sample_rows] rows, every extent keeps
+   every [ceil (n / sample_rows)]-th element: a stride, not a prefix, and
+   one stride for all extents.  Cutting only the large extents would leave
+   a 400-row department extent whole beside 1 000 sampled employees, and a
+   plan that pairs them would still cost 10x more at 10^5 rows than at
+   10^4; one stride keeps the extents' size ratios instead, which is what
+   decides between a nested loop and a hashed one.  A subsequence of a
+   canonical Set or Bag list is still sorted (and still duplicate-free for
+   a Set), so the constructor is kept as is.  A store with no extent over
+   the bound is returned physically unchanged. *)
+
+type db = (string * Value.t) list
+
+let sample_rows = 1_024
+
+let rows = function
+  | Value.Set xs | Value.Bag xs | Value.List xs -> Some (List.length xs)
+  | _ -> None
+
+let cut step v =
+  let keep xs = List.filteri (fun i _ -> i mod step = 0) xs in
+  match v with
+  | Value.Set xs -> Value.Set (keep xs)
+  | Value.Bag xs -> Value.Bag (keep xs)
+  | Value.List xs -> Value.List (keep xs)
+  | v -> v
+
+type sampled = {
+  src : db;
+  sdb : db;
+  extents : (string * int * int) list;  (* name, sampled rows, total rows *)
+}
+
+let sample_of (db : db) : sampled =
+  let sizes =
+    List.filter_map
+      (fun (name, v) -> Option.map (fun n -> (name, n)) (rows v))
+      db
+  in
+  let largest = List.fold_left (fun m (_, n) -> max m n) 0 sizes in
+  if largest <= sample_rows then
+    {
+      src = db;
+      sdb = db;
+      extents = List.map (fun (name, n) -> (name, n, n)) sizes;
+    }
+  else
+    let step = (largest + sample_rows - 1) / sample_rows in
+    {
+      src = db;
+      sdb = List.map (fun (name, v) -> (name, cut step v)) db;
+      extents =
+        List.map (fun (name, n) -> (name, (n + step - 1) / step, n)) sizes;
+    }
+
+(* The last sample, keyed by its source's physical identity.  A serving
+   process costs against one store, so one slot suffices; the slot holds an
+   immutable record behind an [Atomic], so daemon worker domains may race
+   on it — the loser recomputes the same deterministic sample. *)
+let last_sample : sampled option Atomic.t = Atomic.make None
+
+let sampled (db : db) : sampled =
+  match Atomic.get last_sample with
+  | Some s when s.src == db -> s
+  | _ ->
+    let s = sample_of db in
+    Atomic.set last_sample (Some s);
+    s
+
+let sample db = (sampled db).sdb
+let costed_on db = (sampled db).extents
+
+(* ------------------------------------------------------------------ *)
 (* Memoized costing.
 
    Executed costing is by far the most expensive part of exploring a
@@ -240,7 +322,7 @@ let weighted_memo c ~db (q : Term.query) : float =
   match find_memo c key with
   | Some w -> w
   | None ->
-    let w = measure_weighted ~db q in
+    let w = measure_weighted ~db:(sample db) q in
     insert_memo c key w;
     w
 
@@ -263,6 +345,7 @@ let weighted_memo_batch c ~db ?(map = Array.map)
       | None -> missing := (i, key, q) :: !missing)
     items;
   let missing = Array.of_list (List.rev !missing) in
+  let db = sample db in
   let ws = map (fun q -> measure_weighted ~db q) (Array.map (fun (_, _, q) -> q) missing) in
   Array.iteri
     (fun j (i, key, _) ->
@@ -284,7 +367,7 @@ let weighted_memo_hc c ~db (hq : Term.Hc.hquery) : float =
   match HcMemo.find_memo c key with
   | Some w -> w
   | None ->
-    let w = measure_weighted ~db (Term.Hc.to_query hq) in
+    let w = measure_weighted ~db:(sample db) (Term.Hc.to_query hq) in
     HcMemo.insert_memo c key w;
     w
 
@@ -301,6 +384,7 @@ let weighted_memo_hc_batch c ~db ?(map = Array.map)
       | None -> missing := (i, key, hq) :: !missing)
     items;
   let missing = Array.of_list (List.rev !missing) in
+  let db = sample db in
   let ws =
     map
       (fun q -> measure_weighted ~db q)
@@ -316,11 +400,10 @@ let weighted_memo_hc_batch c ~db ?(map = Array.map)
 (* ------------------------------------------------------------------ *)
 (* The plan cache: full cost records per evaluation setting.
 
-   The pipeline compares candidate plans across execution dimensions —
-   the same query costed under naive vs hashed backends and eager vs
-   deferred dedup has genuinely different counters — so entries are
-   keyed by (interned query, backend, dedup) and store the whole
-   {!t}, not just the weighted scalar.  The memoization machinery
+   The same query costed under eager vs deferred dedup (or another
+   interpreter backend) has genuinely different counters, so entries are
+   keyed by (interned query, backend, dedup) and store the whole {!t},
+   not just the weighted scalar.  The memoization machinery
    (capacity, second-chance sweep, per-database validity) is the same
    [Memo] instantiation as the search caches. *)
 
@@ -346,6 +429,6 @@ let measure_memo c ?(backend = Eval.Naive) ?(dedup = Eval.Eager) ~db
   match PlanMemo.find_memo c key with
   | Some cost -> cost
   | None ->
-    let _, cost = measure ~backend ~dedup ~db q in
+    let _, cost = measure ~backend ~dedup ~db:(sample db) q in
     PlanMemo.insert_memo c key cost;
     cost

@@ -36,6 +36,30 @@ val measure_exec :
     falling back to the interpreter on unsupported plans (recorded in the
     returned stats); [~backend:(Interp b)] is the interpreter itself. *)
 
+(** {1 The costing sample}
+
+    Every memoized entry point below evaluates plans on [sample db], not on
+    [db] itself, so the price of costing a candidate stays flat as the
+    store grows.  Caches stay keyed on the source [db]. *)
+
+type db = (string * Kola.Value.t) list
+
+val sample_rows : int
+(** The row bound on a sampled store's largest extent (1 024). *)
+
+val sample : db -> db
+(** [sample db] scales the store down to a deterministic stride subset:
+    when its largest collection extent has n > {!sample_rows} rows, every
+    extent keeps every [ceil (n / sample_rows)]-th element (one stride for
+    all, so extent size ratios hold), with its name, constructor and
+    canonical Set/Bag order.  A store with no extent over the bound comes
+    back physically unchanged.  The last sample is memoized by the
+    source's physical identity (safe across domains). *)
+
+val costed_on : db -> (string * int * int) list
+(** [(extent, sampled rows, total rows)] for each collection extent of
+    [db], in store order: what {!sample} costs plans on. *)
+
 (** {1 Memoized costing}
 
     Executed costing dominates rewrite-space exploration, and the same
@@ -43,7 +67,7 @@ val measure_exec :
     {!Kola.Term.Canonical} keys, so associativity variants of one plan
     share an entry.  Entries are valid for a single database: costing
     against a different database (by physical identity) flushes the
-    cache.
+    cache.  Plans are evaluated on {!sample} of that database.
 
     {2 Capacity and eviction}
 
@@ -139,10 +163,9 @@ val weighted_memo_hc_batch :
 
 (** {2 Plan cache}
 
-    Full cost records memoized per evaluation setting.  The pipeline
-    compares candidate plans across execution dimensions — the same query
-    costed under naive vs hashed backends and eager vs deferred dedup has
-    genuinely different counters — so entries are keyed by (interned
+    Full cost records memoized per evaluation setting.  The same query
+    costed under eager vs deferred dedup (or another interpreter backend)
+    has genuinely different counters, so entries are keyed by (interned
     query, backend, dedup) and store the whole {!t}.  Capacity,
     second-chance eviction, and per-database validity are identical to
     the search caches. *)
@@ -160,5 +183,6 @@ val measure_memo :
   db:(string * Kola.Value.t) list ->
   Kola.Term.query ->
   t
-(** Like {!measure} without the result value, serving repeats from the
-    cache.  Evaluation failures propagate and are never cached. *)
+(** Like {!measure} on {!sample} [db] without the result value, serving
+    repeats from the cache.  Evaluation failures propagate and are never
+    cached. *)

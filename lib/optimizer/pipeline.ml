@@ -1,6 +1,6 @@
 (* The end-to-end optimizer: OQL → AQUA → KOLA → COKO normalization and
    hidden-join untangling → cost-based plan choice (original vs untangled,
-   naive vs hashed backend).
+   eager vs deferred dedup) on a bounded sample of the database.
 
    The output [report] is an explanation artifact: each phase records what
    it produced, and the rewrite trace names every rule fired — the paper's
@@ -28,6 +28,8 @@ type report = {
   chosen : plan;
   cost_cache_hits : int;    (** plan-cache hits while costing candidates *)
   cost_cache_misses : int;  (** candidate evaluations actually run *)
+  costed_on : (string * int * int) list;
+      (** (extent, sampled rows, total rows) every candidate was costed on *)
 }
 
 let backend_name = function Eval.Naive -> "naive" | Eval.Hashed -> "hashed"
@@ -65,36 +67,45 @@ let normalize q =
 
 (* One plan cache shared across [optimize] calls (like the search cost
    caches): re-optimizing a query — or optimizing one whose normalized and
-   untangled forms coincide with an earlier run's — serves every
-   (backend × dedup) measurement from the memo instead of re-running the
-   plan. *)
+   untangled forms coincide with an earlier run's — serves every dedup
+   measurement from the memo instead of re-running the plan. *)
 let shared_plan_cache = Cost.plan_cache ()
 
+(* Candidates are costed under the hashed interpreter only: the compiled
+   executor, which is what runs a chosen plan, hashes its joins and
+   membership tests too, so the quadratic naive backend would only rank
+   plans by work nothing executes. *)
 let candidates_of ?(cache = shared_plan_cache) ~db label q =
   let dedups =
     if contains_agg q.Term.body then [ Eval.Eager ]
     else [ Eval.Eager; Eval.Deferred ]
   in
-  List.concat_map
-    (fun backend ->
-      List.map
-        (fun dedup ->
-          let cost = Cost.measure_memo cache ~backend ~dedup ~db q in
-          { label; query = q; backend; dedup; cost })
-        dedups)
-    [ Eval.Naive; Eval.Hashed ]
+  List.map
+    (fun dedup ->
+      let cost = Cost.measure_memo cache ~backend:Eval.Hashed ~dedup ~db q in
+      { label; query = q; backend = Eval.Hashed; dedup; cost })
+    dedups
+
+let span name f = Kola_telemetry.Telemetry.span ~cat:"pipeline" name f
 
 let optimize ?source ?(plan_cache = shared_plan_cache) ~db
     (aqua : Aqua.Ast.expr) : report =
-  let translated = Translate.Compile.query aqua in
-  let normalized, trace1 = normalize translated in
-  let untangle_outcome, blocks = Coko.Programs.hidden_join normalized in
+  let translated =
+    span "pipeline.translate" (fun () -> Translate.Compile.query aqua)
+  in
+  let normalized, trace1 =
+    span "pipeline.normalize" (fun () -> normalize translated)
+  in
+  let untangle_outcome, blocks =
+    span "pipeline.untangle" (fun () -> Coko.Programs.hidden_join normalized)
+  in
   let untangled =
     if List.for_all snd blocks then Some untangle_outcome.Coko.Block.query
     else None
   in
   let before = Cost.plan_cache_stats plan_cache in
   let candidates =
+    span "pipeline.cost" @@ fun () ->
     candidates_of ~cache:plan_cache ~db "original" normalized
     @
     match untangled with
@@ -119,6 +130,7 @@ let optimize ?source ?(plan_cache = shared_plan_cache) ~db
     chosen;
     cost_cache_hits = after.Cost.hits - before.Cost.hits;
     cost_cache_misses = after.Cost.misses - before.Cost.misses;
+    costed_on = Cost.costed_on db;
   }
 
 let optimize_oql ?extents ?plan_cache ~db src =
@@ -145,6 +157,13 @@ let execute ?backend ?layout ?jobs ?pool ?coldb ~db (r : report) :
   Kola_exec.Exec.run ~backend ~dedup:r.chosen.dedup ?layout ?jobs ?pool ?coldb
     ~db r.chosen.query
 
+let pp_costed_on ppf extents =
+  Fmt.pf ppf "costed on %a"
+    Fmt.(
+      list ~sep:(any ", ") (fun ppf (name, k, n) ->
+          pf ppf "%d/%d rows of %s" k n name))
+    extents
+
 let pp_report ppf (r : report) =
   Option.iter (fun s -> Fmt.pf ppf "OQL:        %s@." s) r.source;
   Fmt.pf ppf "AQUA:       @[%a@]@." Aqua.Pretty.pp r.aqua;
@@ -158,6 +177,7 @@ let pp_report ppf (r : report) =
     (List.map (fun s -> s.Rewrite.Engine.rule_name) r.trace);
   Fmt.pf ppf "plan cache: %d hits, %d misses@." r.cost_cache_hits
     r.cost_cache_misses;
+  Fmt.pf ppf "%a@." pp_costed_on r.costed_on;
   List.iter
     (fun c ->
       Fmt.pf ppf "  plan %-10s %-7s %-9s %a%s@." c.label

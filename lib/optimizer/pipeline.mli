@@ -1,6 +1,7 @@
 (** The end-to-end optimizer: OQL → AQUA → KOLA → COKO normalization and
     hidden-join untangling → cost-based choice among candidate plans
-    (original vs untangled × naive vs hashed backend).
+    (original vs untangled × eager vs deferred dedup), each costed under
+    the hashed interpreter on {!Cost.sample} of the database.
 
     The {!report} is an explanation artifact: each phase records its
     output, and the trace names every rule fired. *)
@@ -8,7 +9,7 @@
 type plan = {
   label : string;  (** "original" or "untangled" *)
   query : Kola.Term.query;
-  backend : Kola.Eval.backend;
+  backend : Kola.Eval.backend;  (** always [Hashed] *)
   dedup : Kola.Eval.dedup;
       (** deferred only offered for aggregate-free plans *)
   cost : Cost.t;
@@ -27,6 +28,9 @@ type report = {
   cost_cache_hits : int;
       (** plan-cache hits while costing this report's candidates *)
   cost_cache_misses : int;  (** candidate evaluations actually run *)
+  costed_on : (string * int * int) list;
+      (** [(extent, sampled rows, total rows)] every candidate was costed
+          on: {!Cost.costed_on} of the database *)
 }
 
 val backend_name : Kola.Eval.backend -> string
@@ -43,8 +47,11 @@ val optimize :
   Aqua.Ast.expr ->
   report
 (** [plan_cache] defaults to one cache shared across calls, so repeated
-    (backend × dedup) measurements of canonically-equal plans hit the
-    memo; the report carries this call's hit/miss deltas. *)
+    measurements of canonically-equal plans hit the memo; the report
+    carries this call's hit/miss deltas.  The translate, normalize,
+    untangle and costing phases record the Telemetry spans
+    [pipeline.translate], [pipeline.normalize], [pipeline.untangle] and
+    [pipeline.cost]. *)
 
 val optimize_oql :
   ?extents:string list ->
@@ -74,5 +81,9 @@ val execute :
     [pool] and [coldb] are forwarded to {!Kola_exec.Exec.run}: under
     [Columnar] the compiled backend binds extent scans to the columnar
     store and fans pure kernels out over morsels. *)
+
+val pp_costed_on : (string * int * int) list Fmt.t
+(** [costed on 1000/10000 rows of E, 4/40 rows of D]: a report's
+    {!report.costed_on}. *)
 
 val pp_report : report Fmt.t
